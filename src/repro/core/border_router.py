@@ -14,10 +14,14 @@ Two pipelines, both built purely from symmetric cryptography:
 The router is sans-IO: it turns a packet into a :class:`Verdict`, and the
 AS assembly (or a benchmark loop) acts on it.  Per-host CMAC instances
 are cached so steady-state verification costs one AES pass over the
-packet.  With the ``openssl`` crypto backend active (see
-:mod:`repro.crypto.backend`) that pass — and the EphID open before it —
-runs on AES-NI, which *is* the data path of the paper's DPDK prototype
-rather than a simulation of it.
+packet.  A cold source (a HID the router has not MAC-checked before) is
+verified with a one-shot CMAC context that is freed at once; the cached
+instance builds its reusable key schedule on the HID's second packet,
+which is where the cache starts to pay off (see
+:class:`repro.crypto.cmac.Cmac`).  With the ``openssl`` crypto backend
+active (see :mod:`repro.crypto.backend`) that pass — and the EphID open
+before it — runs on AES-NI, which *is* the data path of the paper's
+DPDK prototype rather than a simulation of it.
 
 Burst pipeline
 --------------

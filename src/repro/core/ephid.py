@@ -36,6 +36,10 @@ IV_SIZE = 4
 CIPHERTEXT_SIZE = HID_SIZE + EXPTIME_SIZE
 TAG_SIZE = 4
 
+_TAG_OFFSET = CIPHERTEXT_SIZE + IV_SIZE
+_ZERO4 = bytes(4)
+_ZERO12 = bytes(12)
+
 _MAX_HID = 2**32 - 1
 _MAX_EXPTIME = 2**32 - 1
 _MAX_IV = 2**32 - 1
@@ -101,11 +105,12 @@ class EphIdCodec:
             raise EphIdError(f"EphID must be {EPHID_SIZE} bytes, got {len(ephid)}")
         ciphertext = ephid[:CIPHERTEXT_SIZE]
         (iv,) = struct.unpack_from(">I", ephid, CIPHERTEXT_SIZE)
-        tag = ephid[CIPHERTEXT_SIZE + IV_SIZE :]
+        tag = ephid[_TAG_OFFSET:]
         if not ct_eq(self._tag(iv, ciphertext), tag):
             raise EphIdError("EphID authentication failed")
-        hid, exp_time = struct.unpack(">II", xor_bytes(ciphertext, self._keystream(iv)))
-        return EphIdInfo(hid=hid, exp_time=exp_time)
+        # HID || ExpTime as one 64-bit integer.
+        plain = int.from_bytes(ciphertext, "big") ^ int.from_bytes(self._keystream(iv), "big")
+        return EphIdInfo(plain >> 32, plain & _MAX_EXPTIME)
 
     def open_batch(self, ephids: "list[bytes]") -> "list[EphIdInfo | None]":
         """Open a burst of EphIDs with two bulk AES calls.
@@ -124,33 +129,23 @@ class EphIdCodec:
         ]
         if not well_formed:
             return results
-        mac_blocks = bytearray()
-        ctr_blocks = bytearray()
-        zero4 = bytes(4)
-        zero12 = bytes(12)
+        # MAC block: IV || 0^4 || ciphertext; CTR block: IV || 0^12.
+        ivs = [ephids[i][CIPHERTEXT_SIZE:_TAG_OFFSET] for i in well_formed]
+        tags = self._mac_cipher.encrypt_blocks(
+            b"".join(
+                [iv + _ZERO4 + ephids[i][:CIPHERTEXT_SIZE] for iv, i in zip(ivs, well_formed)]
+            )
+        )
+        streams = self._enc.encrypt_blocks(_ZERO12.join(ivs) + _ZERO12)
+        offset = 0
         for i in well_formed:
             ephid = ephids[i]
-            iv_bytes = ephid[CIPHERTEXT_SIZE : CIPHERTEXT_SIZE + IV_SIZE]
-            mac_blocks += iv_bytes + zero4 + ephid[:CIPHERTEXT_SIZE]
-            ctr_blocks += iv_bytes + zero12
-        tags = self._mac_cipher.encrypt_blocks(bytes(mac_blocks))
-        streams = self._enc.encrypt_blocks(bytes(ctr_blocks))
-        for k, i in enumerate(well_formed):
-            ephid = ephids[i]
-            offset = 16 * k
-            if not ct_eq(
-                tags[offset : offset + TAG_SIZE],
-                ephid[CIPHERTEXT_SIZE + IV_SIZE :],
-            ):
-                continue
-            hid, exp_time = struct.unpack(
-                ">II",
-                xor_bytes(
-                    ephid[:CIPHERTEXT_SIZE],
-                    streams[offset : offset + CIPHERTEXT_SIZE],
-                ),
-            )
-            results[i] = EphIdInfo(hid=hid, exp_time=exp_time)
+            if ct_eq(tags[offset : offset + TAG_SIZE], ephid[_TAG_OFFSET:]):
+                plain = int.from_bytes(ephid[:CIPHERTEXT_SIZE], "big") ^ int.from_bytes(
+                    streams[offset : offset + CIPHERTEXT_SIZE], "big"
+                )
+                results[i] = EphIdInfo(plain >> 32, plain & _MAX_EXPTIME)
+            offset += 16
         return results
 
     def is_valid(self, ephid: bytes) -> bool:

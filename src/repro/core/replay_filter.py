@@ -22,13 +22,25 @@ it: a pair of rotating Bloom filters keyed on ``(source EphID, nonce)``.
 * False positives drop fresh packets; the rate is engineered by sizing
   ``bits`` for the expected packets-per-window and checked by
   :meth:`BloomFilter.fp_probability`.
+
+Cost model: one SHA-256 per packet.  The bit positions of an item are
+the first ``hashes`` big-endian u32 words of ``SHA-256(item)``, masked to
+the array size; :meth:`RotatingReplayFilter.observe` derives that index
+set once and shares it between the membership test on both generations
+and the insert into the current one.  The bit layout is the same as a
+:class:`BloomFilter` fed the item through :meth:`BloomFilter.add`, so
+the two never disagree on which bits an item owns.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
+from hashlib import sha256
+
+#: SHA-256 yields eight 32-bit words, one per hash function.
+_MAX_HASHES = 8
+_NONCE = struct.Struct(">Q")
 
 
 class BloomFilter:
@@ -37,42 +49,44 @@ class BloomFilter:
     def __init__(self, bits: int, hashes: int = 4) -> None:
         if bits <= 0 or bits & (bits - 1):
             raise ValueError("bits must be a positive power of two")
-        if not 1 <= hashes <= 16:
-            raise ValueError("hashes must be in 1..16")
+        if not 1 <= hashes <= _MAX_HASHES:
+            raise ValueError(f"hashes must be in 1..{_MAX_HASHES}")
         self.bits = bits
         self.hashes = hashes
         self._mask = bits - 1
+        self._words = struct.Struct(f">{hashes}I").unpack_from
         self._array = bytearray(bits // 8 or 1)
         self.inserted = 0
 
     def _indexes(self, item: bytes) -> list[int]:
-        digest = hashlib.sha256(item).digest()
-        return [
-            struct.unpack_from(">I", digest, 4 * i)[0] & self._mask
-            for i in range(self.hashes)
-        ]
+        mask = self._mask
+        return [word & mask for word in self._words(sha256(item).digest())]
 
-    def add(self, item: bytes) -> None:
-        for index in self._indexes(item):
-            self._array[index >> 3] |= 1 << (index & 7)
+    def _has(self, indexes: list[int]) -> bool:
+        array = self._array
+        for index in indexes:
+            if not array[index >> 3] >> (index & 7) & 1:
+                return False
+        return True
+
+    def _set(self, indexes: list[int]) -> None:
+        array = self._array
+        for index in indexes:
+            array[index >> 3] |= 1 << (index & 7)
         self.inserted += 1
 
+    def add(self, item: bytes) -> None:
+        self._set(self._indexes(item))
+
     def __contains__(self, item: bytes) -> bool:
-        return all(
-            self._array[index >> 3] & (1 << (index & 7))
-            for index in self._indexes(item)
-        )
+        return self._has(self._indexes(item))
 
     def check_and_add(self, item: bytes) -> bool:
         """True iff ``item`` was (probably) already present; inserts it."""
         indexes = self._indexes(item)
-        present = all(
-            self._array[index >> 3] & (1 << (index & 7)) for index in indexes
-        )
+        present = self._has(indexes)
         if not present:
-            for index in indexes:
-                self._array[index >> 3] |= 1 << (index & 7)
-            self.inserted += 1
+            self._set(indexes)
         return present
 
     def clear(self) -> None:
@@ -99,9 +113,10 @@ class BloomFilter:
 class RotatingReplayFilter:
     """Two-generation rotating Bloom filter for (EphID, nonce) pairs.
 
-    Designed to sit on a border router's pipeline: ``observe`` performs
-    one membership test over both generations plus (for fresh packets)
-    one insert, all constant-time in the packet count.
+    Designed to sit on a border router's pipeline: ``observe`` hashes the
+    packet's key once, then performs one membership test over both
+    generations plus (for fresh packets) one insert with that index set,
+    all constant-time in the packet count.
     """
 
     def __init__(
@@ -123,10 +138,6 @@ class RotatingReplayFilter:
         self.replays = 0
         self.passed = 0
         self.rotations = 0
-
-    @staticmethod
-    def _key(ephid: bytes, nonce: int) -> bytes:
-        return ephid + struct.pack(">Q", nonce)
 
     def _maybe_rotate(self, now: float) -> None:
         if self._rotated_at is None:
@@ -153,13 +164,14 @@ class RotatingReplayFilter:
     def observe(self, ephid: bytes, nonce: int, now: float) -> bool:
         """Record one packet.  True = fresh (forward), False = replay (drop)."""
         self._maybe_rotate(now)
-        key = self._key(ephid, nonce)
-        if key in self._previous:
+        current = self._current
+        # Both generations share one size and hash count, hence one
+        # index set per key.
+        indexes = current._indexes(ephid + _NONCE.pack(nonce))
+        if self._previous._has(indexes) or current._has(indexes):
             self.replays += 1
             return False
-        if self._current.check_and_add(key):
-            self.replays += 1
-            return False
+        current._set(indexes)
         self.passed += 1
         return True
 

@@ -67,6 +67,8 @@ class EtmScheme:
             raise ValueError("tag size must be between 4 and 16 bytes")
         self._enc = AES(derive_subkey(key, "etm-enc", 16), backend=backend)
         self._mac = Cmac(derive_subkey(key, "etm-mac", 16), backend=backend)
+        # A session key tags at least twice (a request and its reply).
+        self._mac.warm()
         self.tag_size = tag_size
 
     @staticmethod

@@ -166,20 +166,53 @@ class _OpenSSLAes:
 class _OpenSSLCmac:
     """AES-CMAC via OpenSSL; the key schedule is shared across calls.
 
-    A base CMAC context is initialised once (CMAC_CTX setup + subkey
-    derivation) and ``copy()``-ed per tag, so the border router's cached
-    per-host instances pay only the message pass on each packet.
+    A reusable base CMAC context (CMAC_CTX setup + subkey derivation) is
+    ``copy()``-ed per tag, so the border router's cached per-host
+    instances pay only the message pass on each packet.  The base is
+    built lazily: construction only checks the key length, a first
+    single-message use tags with a one-shot context that is freed at
+    once, and the base is built on the second use (or on a first
+    :meth:`tag_many` of two or more messages).  A key used once -- a
+    cold source's first packet at a border router -- thus costs one
+    context and keeps no OpenSSL object.  :meth:`warm` builds the base
+    up front for keys known to be reused.
     """
 
-    __slots__ = ("_base",)
+    __slots__ = ("_key", "_aes_cls", "_cmac_cls", "_base", "_used")
 
-    def __init__(self, algorithm, cmac_cls) -> None:
-        self._base = cmac_cls(algorithm)
+    def __init__(self, key: bytes, aes_cls, cmac_cls) -> None:
+        if memoryview(key).nbytes not in (16, 24, 32):
+            raise ValueError(f"AES key must be 16, 24 or 32 bytes, got {len(key)}")
+        self._key = key
+        self._aes_cls = aes_cls
+        self._cmac_cls = cmac_cls
+        self._base = None
+        self._used = False
+
+    def _contexts(self, messages: int):
+        """Context factory for tagging ``messages`` messages: one-shot
+        for a single-message first use, else copies of the base (built
+        here on the key's second use)."""
+        base = self._base
+        if base is None:
+            if not self._used and messages < 2:
+                self._used = True
+                return self._one_shot
+            base = self._base = self._one_shot()
+        return base.copy
+
+    def _one_shot(self):
+        return self._cmac_cls(self._aes_cls(self._key))
+
+    def warm(self) -> None:
+        """Build the base now (for keys known to be reused)."""
+        if self._base is None:
+            self._base = self._one_shot()
 
     def tag(self, message: bytes, length: int = 16) -> bytes:
         if not 1 <= length <= 16:
             raise ValueError("tag length must be between 1 and 16 bytes")
-        ctx = self._base.copy()
+        ctx = self._contexts(1)()
         ctx.update(message)
         return ctx.finalize()[:length]
 
@@ -192,10 +225,13 @@ class _OpenSSLCmac:
         """
         if not 1 <= length <= 16:
             raise ValueError("tag length must be between 1 and 16 bytes")
-        copy = self._base.copy
+        messages = list(messages)
+        if not messages:
+            return []
+        new = self._contexts(len(messages))
         out = []
         for message in messages:
-            ctx = copy()
+            ctx = new()
             ctx.update(message)
             out.append(ctx.finalize()[:length])
         return out
@@ -291,7 +327,7 @@ class _OpenSSLProvider:
         return _OpenSSLAes(key, self._ciphers)
 
     def new_cmac(self, key: bytes) -> _OpenSSLCmac:
-        return _OpenSSLCmac(self._algorithms.AES(key), self._cmac_cls)
+        return _OpenSSLCmac(key, self._algorithms.AES, self._cmac_cls)
 
     def new_gcm(self, key: bytes, tag_size: int) -> _OpenSSLGcm:
         return _OpenSSLGcm(key, tag_size, self._ciphers, self._invalid_tag)

@@ -31,14 +31,27 @@ class Cmac:
     """A reusable CMAC instance bound to one AES key.
 
     The key schedule (and, for the pure backend, the RFC 4493 subkeys
-    K1/K2) is derived once at construction, making repeated ``tag`` calls
-    cheap — the border router caches one instance per host.
+    K1/K2) is derived once per instance, making repeated ``tag`` calls
+    cheap — the border router caches one instance per host.  The OpenSSL
+    backend derives it lazily, on the key's second use: a key used once
+    costs one one-shot context (see :mod:`repro.crypto.backend`).
     """
 
     __slots__ = ("_impl",)
 
     def __init__(self, key: bytes, *, backend=None) -> None:
         self._impl = resolve_backend(backend).new_cmac(key)
+
+    def warm(self) -> None:
+        """Build the reusable key schedule now instead of on second use.
+
+        For keys known to tag more than once, such as an AEAD session
+        key: it spares them the one-shot context of a lazy first use.
+        Backends that derive the schedule at construction ignore it.
+        """
+        warm = getattr(self._impl, "warm", None)
+        if warm is not None:
+            warm()
 
     def tag(self, message: bytes, length: int = BLOCK_SIZE) -> bytes:
         """Compute the CMAC tag, optionally truncated to ``length`` bytes."""

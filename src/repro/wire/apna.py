@@ -40,6 +40,9 @@ _MAX_NONCE = 2**64 - 1
 #: is a ``>Q`` suffix.  Shared by pack/parse/mac_input so the MAC is
 #: always computed over exactly the bytes the wire carries.
 _HEADER_FMT = f">I{EPHID_SIZE}s{EPHID_SIZE}sI{MAC_SIZE}s"
+_HEADER = struct.Struct(_HEADER_FMT)
+_HEADER_WITH_NONCE = struct.Struct(_HEADER_FMT + "Q")
+_ZERO_MAC = bytes(MAC_SIZE)
 
 
 @dataclass(frozen=True)
@@ -79,17 +82,17 @@ class ApnaHeader:
 
     def pack(self) -> bytes:
         """Serialize the header."""
-        head = struct.pack(
-            _HEADER_FMT,
-            self.src_aid,
-            self.src_ephid,
-            self.dst_ephid,
-            self.dst_aid,
-            self.mac,
+        return self._pack(self.mac)
+
+    def _pack(self, mac: bytes) -> bytes:
+        if self.nonce is None:
+            return _HEADER.pack(
+                self.src_aid, self.src_ephid, self.dst_ephid, self.dst_aid, mac
+            )
+        return _HEADER_WITH_NONCE.pack(
+            self.src_aid, self.src_ephid, self.dst_ephid, self.dst_aid, mac,
+            self.nonce,
         )
-        if self.nonce is not None:
-            head += struct.pack(">Q", self.nonce)
-        return head
 
     @classmethod
     def parse(cls, data: bytes, *, with_nonce: bool = False) -> "ApnaHeader":
@@ -98,33 +101,36 @@ class ApnaHeader:
         Whether a nonce is present is a deployment-wide configuration, not
         self-describing on the wire (the paper's header has no version
         field), so the caller must say which format it expects.
+
+        The header is built without rerunning :meth:`__post_init__`: the
+        fixed-width layout already guarantees every field (u32 AIDs,
+        16-byte EphIDs, an 8-byte MAC, a u64 nonce).
         """
-        expected = HEADER_SIZE_WITH_NONCE if with_nonce else HEADER_SIZE
-        if len(data) < expected:
+        layout = _HEADER_WITH_NONCE if with_nonce else _HEADER
+        if len(data) < layout.size:
             raise ParseError(
-                f"APNA header needs {expected} bytes, got {len(data)}"
+                f"APNA header needs {layout.size} bytes, got {len(data)}"
             )
-        src_aid, src_ephid, dst_ephid, dst_aid, mac = struct.unpack_from(
-            _HEADER_FMT, data
-        )
-        nonce = None
         if with_nonce:
-            (nonce,) = struct.unpack_from(">Q", data, HEADER_SIZE)
-        return cls(src_aid, src_ephid, dst_ephid, dst_aid, mac, nonce)
+            src_aid, src_ephid, dst_ephid, dst_aid, mac, nonce = layout.unpack_from(data)
+        else:
+            src_aid, src_ephid, dst_ephid, dst_aid, mac = layout.unpack_from(data)
+            nonce = None
+        # Field by field, as the dataclass __init__ does (a frozen
+        # instance refuses plain assignment), minus the checks.
+        header = object.__new__(cls)
+        init = object.__setattr__
+        init(header, "src_aid", src_aid)
+        init(header, "src_ephid", src_ephid)
+        init(header, "dst_ephid", dst_ephid)
+        init(header, "dst_aid", dst_aid)
+        init(header, "mac", mac)
+        init(header, "nonce", nonce)
+        return header
 
     def mac_input(self, payload: bytes) -> bytes:
         """Bytes the per-packet MAC is computed over (header w/ zero MAC + payload)."""
-        head = struct.pack(
-            _HEADER_FMT,
-            self.src_aid,
-            self.src_ephid,
-            self.dst_ephid,
-            self.dst_aid,
-            bytes(MAC_SIZE),
-        )
-        if self.nonce is not None:
-            head += struct.pack(">Q", self.nonce)
-        return head + payload
+        return self._pack(_ZERO_MAC) + payload
 
     def with_mac(self, mac: bytes) -> "ApnaHeader":
         return replace(self, mac=mac)

@@ -1,5 +1,7 @@
 """Tests for in-network replay detection (Section VIII-D future work)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +50,9 @@ class TestBloomFilter:
     def test_rejects_bad_hash_count(self):
         with pytest.raises(ValueError):
             BloomFilter(1 << 10, hashes=0)
+        # SHA-256 has eight 32-bit words: one per hash function.
+        with pytest.raises(ValueError):
+            BloomFilter(1 << 10, hashes=9)
 
     def test_fp_probability_grows_with_load(self):
         bloom = BloomFilter(1 << 10, hashes=4)
@@ -151,6 +156,84 @@ class TestRotatingReplayFilter:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             RotatingReplayFilter(window=0.0)
+
+
+class _ReferenceReplayFilter:
+    """The two-generation rotating Bloom filter, written from the spec.
+
+    Bit ``i`` of an item is its ``i``-th big-endian 32-bit SHA-256 word
+    modulo the generation size; bit ``p`` lives in byte ``p // 8`` at
+    ``1 << p % 8``.  Lookups consult both generations, inserts go to the
+    current one; a gap of one window rotates, a gap of two clears both.
+    """
+
+    def __init__(self, window, bits, hashes):
+        self.window, self.bits, self.hashes = window, bits, hashes
+        self.gens = [bytearray(bits // 8), bytearray(bits // 8)]  # current, previous
+        self.inserted = [0, 0]
+        self.start = None
+
+    def observe(self, ephid, nonce, now):
+        if self.start is None:
+            self.start = now
+        elif now - self.start >= self.window:
+            keep = now - self.start < 2 * self.window
+            self.gens = [bytearray(self.bits // 8), self.gens[0] if keep else bytearray(self.bits // 8)]
+            self.inserted = [0, self.inserted[0] if keep else 0]
+            self.start = now
+        digest = hashlib.sha256(ephid + nonce.to_bytes(8, "big")).digest()
+        bits = [int.from_bytes(digest[4 * i : 4 * i + 4], "big") % self.bits for i in range(self.hashes)]
+        if any(all(gen[p // 8] & 1 << p % 8 for p in bits) for gen in self.gens):
+            return False
+        for p in bits:
+            self.gens[0][p // 8] |= 1 << p % 8
+        self.inserted[0] += 1
+        return True
+
+
+class TestAgainstReference:
+    """The filter against :class:`_ReferenceReplayFilter`, over generated
+    packet sequences with duplicates, rotations and long idle gaps.  Tiny
+    generations make false positives common, so the two must agree on
+    every bit, not only on the obvious replays."""
+
+    WINDOW = 10.0
+
+    @given(
+        hashes=st.integers(1, 8),
+        bits_log2=st.integers(3, 9),
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, 3),  # which EphID
+                st.integers(0, 7),  # nonce
+                # Time advance: none, within a window, one window, an
+                # idle gap of 2+ windows.
+                st.sampled_from([0.0, 0.0, 3.0, 10.0, 14.0, 20.0, 35.0]),
+            ),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_decisions_counts_and_bits(self, hashes, bits_log2, steps):
+        bits = 1 << bits_log2
+        real = RotatingReplayFilter(window=self.WINDOW, bits_per_generation=bits, hashes=hashes)
+        spec = _ReferenceReplayFilter(self.WINDOW, bits, hashes)
+        now = 1000.0
+        for which, nonce, advance in steps:
+            now += advance
+            ephid = bytes([which]) * 16
+            assert real.observe(ephid, nonce, now) == spec.observe(ephid, nonce, now)
+            assert [real._current.inserted, real._previous.inserted] == spec.inserted
+            assert bytes(real._current._array) == bytes(spec.gens[0])
+            assert bytes(real._previous._array) == bytes(spec.gens[1])
+
+    def test_shares_bloom_filter_layout(self):
+        # observe() and BloomFilter.add set the same bits for one key.
+        real = RotatingReplayFilter(window=self.WINDOW, bits_per_generation=1 << 12)
+        bloom = BloomFilter(1 << 12)
+        real.observe(b"\x05" * 16, 99, 0.0)
+        bloom.add(b"\x05" * 16 + (99).to_bytes(8, "big"))
+        assert real._current._array == bloom._array
 
 
 class TestBorderRouterIntegration:

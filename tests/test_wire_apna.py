@@ -1,5 +1,7 @@
 """Tests for the APNA header/packet wire format (paper Fig. 7)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,3 +146,84 @@ def test_property_roundtrip(src_aid, dst_aid, src_ephid, dst_ephid, mac, nonce, 
     packet = ApnaPacket(header, payload)
     recovered = ApnaPacket.from_wire(packet.to_wire(), with_nonce=nonce is not None)
     assert recovered == packet
+
+
+# -- parse builds headers without rerunning the field checks -------------
+
+_BOUNDARY_AIDS = (0, 1, 2**32 - 1)
+_BOUNDARY_NONCES = (None, 0, 1, 2**64 - 1)
+
+
+@pytest.mark.parametrize("nonce", _BOUNDARY_NONCES)
+@pytest.mark.parametrize("src_aid", _BOUNDARY_AIDS)
+@pytest.mark.parametrize("dst_aid", _BOUNDARY_AIDS)
+def test_parsed_header_equals_constructed_header(src_aid, dst_aid, nonce):
+    built = make_header(src_aid=src_aid, dst_aid=dst_aid, nonce=nonce)
+    parsed = ApnaHeader.parse(built.pack() + b"trailing", with_nonce=nonce is not None)
+    assert parsed == built and built == parsed
+    assert hash(parsed) == hash(built)
+    assert {parsed: 1}[built] == 1
+    assert (parsed.src_aid, parsed.dst_aid, parsed.nonce) == (src_aid, dst_aid, nonce)
+    assert parsed.wire_size == built.wire_size
+    assert parsed.pack() == built.pack()
+    assert parsed.mac_input(b"p") == built.mac_input(b"p")
+    assert repr(parsed) == repr(built)
+
+
+def test_parse_does_not_run_field_checks(monkeypatch):
+    wire = make_header(nonce=9).pack()
+    calls = []
+    monkeypatch.setattr(ApnaHeader, "__post_init__", lambda self: calls.append(self))
+    ApnaHeader.parse(wire, with_nonce=True)
+    ApnaPacket.from_wire(wire[:HEADER_SIZE])
+    assert calls == []
+    make_header()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("with_nonce", [False, True])
+def test_short_frames_raise_parse_error_in_both_formats(with_nonce):
+    needed = HEADER_SIZE_WITH_NONCE if with_nonce else HEADER_SIZE
+    for length in (0, 1, HEADER_SIZE - 1, needed - 1):
+        with pytest.raises(ParseError):
+            ApnaHeader.parse(bytes(length), with_nonce=with_nonce)
+        with pytest.raises(ParseError):
+            ApnaPacket.from_wire(bytes(length), with_nonce=with_nonce)
+    assert ApnaHeader.parse(bytes(needed), with_nonce=with_nonce).src_aid == 0
+
+
+def test_parsed_header_is_frozen():
+    parsed = ApnaHeader.parse(make_header().pack())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parsed.src_aid = 1
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"src_aid": 2**32},
+        {"dst_aid": -1},
+        {"src_ephid": bytes(15)},
+        {"mac": bytes(9)},
+        {"nonce": 2**64},
+    ],
+)
+def test_derived_headers_still_validate(overrides):
+    parsed = ApnaHeader.parse(make_header(nonce=3).pack(), with_nonce=True)
+    with pytest.raises(FieldError):
+        dataclasses.replace(parsed, **overrides)
+    with pytest.raises(FieldError):
+        ApnaHeader(**{**dataclasses.asdict(parsed), **overrides})
+    if "mac" in overrides:
+        with pytest.raises(FieldError):
+            parsed.with_mac(overrides["mac"])
+
+
+def test_reversed_validates_swapped_fields():
+    # reversed() goes through the constructor: a header whose fields are
+    # out of range (only reachable by bypassing the checks) fails there.
+    parsed = ApnaHeader.parse(make_header().pack())
+    broken = dataclasses.replace(parsed)
+    object.__setattr__(broken, "dst_aid", 2**32)
+    with pytest.raises(FieldError):
+        broken.reversed()
