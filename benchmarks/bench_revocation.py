@@ -10,17 +10,17 @@ once per burst instead of once per packet).
 import pytest
 
 from repro.core.border_router import Action
-from repro.core.revocation import RevocationList
 from repro.crypto import backend as crypto_backend
 from repro.crypto.rng import DeterministicRng
 from repro.experiments import e6_revocation
 from repro.experiments.common import build_bench_world
+from repro.state import ColumnarRevocationList
 from repro.workload.packets import build_apna_pool
 
 
 @pytest.fixture(scope="module")
 def loaded_list():
-    revs = RevocationList()
+    revs = ColumnarRevocationList()
     rng = DeterministicRng(6)
     for i in range(10_000):
         revs.add(rng.read(16), 1e9 + i)
@@ -35,7 +35,7 @@ def test_revocation_lookup(benchmark, loaded_list):
 
 
 def test_revocation_insert(benchmark):
-    revs = RevocationList()
+    revs = ColumnarRevocationList()
     rng = DeterministicRng(7)
     ephids = [rng.read(16) for _ in range(4096)]
     state = {"i": 0}
@@ -52,7 +52,7 @@ def test_prune_amortized(benchmark):
     rng = DeterministicRng(8)
 
     def build_and_prune():
-        revs = RevocationList()
+        revs = ColumnarRevocationList()
         for i in range(500):
             revs.add(rng.read(16), float(i))
         return revs.prune(now=250.0)

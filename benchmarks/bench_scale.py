@@ -4,8 +4,8 @@ The paper's §V-A2 registry is dimensioned for its trace's 1,266,598
 unique hosts; this bench records what the :mod:`repro.state` columnar
 store pays to hold host populations of that order: build-time and
 resident-set curves over a ``metro:N`` ladder (the hosts-vs-RSS
-trajectory the snapshot JSON carries across PRs), columnar-vs-object
-bulk-registration throughput, and the packed snapshot codec's
+trajectory the snapshot JSON carries across PRs), bulk-registration
+throughput, and the packed snapshot codec's
 encode/decode rate (the bytes every worker spawn and ``MSG_RESYNC``
 ships).
 
@@ -21,10 +21,9 @@ from repro import scenarios
 from repro.sharding.plan import ShardPlan
 from repro.state import (
     ColumnarHostDatabase,
+    ColumnarRevocationList,
     ShardSnapshot,
     build_shard_snapshot,
-    make_host_database,
-    make_revocation_list,
     population_key_material,
 )
 
@@ -80,45 +79,21 @@ def test_metro_build_ladder(benchmark, request):
     )
     assert len(world.asys("a").hostdb) == top + 6  # hosts + alice + 5 services
     benchmark.extra_info["ladder"] = curve
-    benchmark.extra_info["state_backend"] = world.config.state_backend
 
 
-def test_bulk_register_columnar_vs_object(benchmark, request):
-    """Bulk registration throughput, columnar vs per-record object store."""
+def test_bulk_register(benchmark, request):
+    """Bulk registration throughput of the columnar ``host_info``."""
     count = 20_000 if _is_smoke(request) else 200_000
     material = population_key_material(b"bench-scale", count)
 
-    def columnar():
-        db = make_host_database("columnar")
+    def register():
+        db = ColumnarHostDatabase()
         db.bulk_register(count, material)
         return db
 
-    db = benchmark(columnar)
+    db = benchmark(register)
     assert len(db) == count
-
-    # The object-store arm is timed inline (one pass is representative and
-    # keeps the bench single-parametrization): the ratio is the verdict.
-    from repro.core.hostdb import HostRecord
-    from repro.core.keys import HostAsKeys
-
-    obj = make_host_database("object")
-    t0 = time.perf_counter()
-    for i in range(count):
-        hid = obj.allocate_hid()
-        base = 32 * i
-        obj.register(
-            HostRecord(
-                hid=hid,
-                keys=HostAsKeys(
-                    control=material[base : base + 16],
-                    packet_mac=material[base + 16 : base + 32],
-                ),
-            )
-        )
-    object_s = time.perf_counter() - t0
-    assert len(obj) == count
     benchmark.extra_info["hosts"] = count
-    benchmark.extra_info["object_store_s"] = round(object_s, 4)
 
 
 def test_shard_snapshot_codec(benchmark, request):
@@ -126,7 +101,7 @@ def test_shard_snapshot_codec(benchmark, request):
     count = 20_000 if _is_smoke(request) else 200_000
     db = ColumnarHostDatabase()
     db.bulk_register(count, population_key_material(b"bench-snap", count))
-    rev = make_revocation_list("columnar")
+    rev = ColumnarRevocationList()
     for i in range(256):
         rev.add(i.to_bytes(16, "big"), 1_000.0 + i)
     plan = ShardPlan(4)

@@ -20,7 +20,7 @@ received packet suffices.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..crypto import ed25519
 from ..crypto.cmac import Cmac
@@ -29,11 +29,13 @@ from .certs import EphIdCertificate
 from .config import ApnaConfig
 from .ephid import EphIdCodec
 from .errors import CertError, EphIdError
-from .hostdb import HostDatabase
 from .infrabus import InfraBus
 from .messages import ShutoffRequest, ShutoffResponse
 from .revocation import RevocationPolicy
 from .rpki import RpkiDirectory
+
+if TYPE_CHECKING:
+    from ..state.columns import ColumnarHostDatabase
 
 
 class AccountabilityAgent:
@@ -43,7 +45,7 @@ class AccountabilityAgent:
         self,
         aid: int,
         codec: EphIdCodec,
-        hostdb: HostDatabase,
+        hostdb: ColumnarHostDatabase,
         bus: InfraBus,
         rpki: RpkiDirectory,
         clock: Callable[[], float],

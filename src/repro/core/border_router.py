@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..crypto.cmac import Cmac
 from ..crypto.util import ct_eq
@@ -59,9 +59,11 @@ from ..wire import icmp as icmp_wire
 from ..wire.apna import ApnaPacket
 from .ephid import EphIdCodec
 from .errors import EphIdError
-from .hostdb import HostDatabase
 from .replay_filter import RotatingReplayFilter
-from .revocation import RevocationList
+
+if TYPE_CHECKING:
+    from ..state.columns import ColumnarHostDatabase
+    from ..state.revlist import ColumnarRevocationList
 
 
 class Action(enum.Enum):
@@ -134,8 +136,8 @@ class BorderRouter:
         self,
         aid: int,
         codec: EphIdCodec,
-        hostdb: HostDatabase,
-        revocations: RevocationList,
+        hostdb: ColumnarHostDatabase,
+        revocations: ColumnarRevocationList,
         clock: Callable[[], float],
         *,
         packet_mac_size: int = 8,

@@ -111,13 +111,6 @@ class ApnaConfig:
     #: submit/collect raises, the pre-supervision behaviour.
     shard_degraded_fallback: bool = True
 
-    #: Backing store for the per-AS state (``host_info``, ``revoked_ids``
-    #: and the shard workers' replicas): ``"columnar"`` keeps dense
-    #: array/bytes columns keyed by HID row (see :mod:`repro.state` —
-    #: zero per-host objects, the million-host default), ``"object"``
-    #: keeps the original per-record dataclass stores.
-    state_backend: str = "columnar"
-
     #: Data-plane AEAD ("etm" or "gcm"); any CCA-secure scheme is allowed.
     aead_scheme: str = "etm"
 

@@ -2,9 +2,13 @@
 
 Maps HID -> host record, in particular the kHA subkeys every AS entity
 needs to authenticate the host's packets (Fig. 2: "the entities need to
-learn the HID of the host and the shared key kHA").  Implemented as a
-hash table keyed by HID, exactly as the paper's prototype does
-(Section V-A2).
+learn the HID of the host and the shared key kHA").
+
+The reserved HIDs and :class:`HostRecord` are shared by every store.
+:class:`HostDatabase` is the test reference model: a hash table keyed
+by HID, exactly as the paper's prototype does (Section V-A2), that the
+production store :class:`repro.state.ColumnarHostDatabase` is checked
+against.  No AS builds one.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ class HostRecord:
 
 
 class HostDatabase:
-    """``host_info``: the per-AS registry of authenticated hosts."""
+    """``host_info`` as one record object per host: the reference model
+    for :class:`repro.state.ColumnarHostDatabase`."""
 
     def __init__(self) -> None:
         self._records: dict[int, HostRecord] = {}

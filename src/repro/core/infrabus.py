@@ -10,15 +10,18 @@ tests exercise.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..crypto.aead import EtmScheme
 from ..crypto.cmac import Cmac
 from .errors import MacError
 from .keys import AsSecret, HostAsKeys
-from .hostdb import HostDatabase, HostRecord
+from .hostdb import HostRecord
 from .messages import InfraUpdate, RevocationPush
-from .revocation import RevocationList
+
+if TYPE_CHECKING:
+    from ..state.columns import ColumnarHostDatabase
+    from ..state.revlist import ColumnarRevocationList
 
 
 class InfraBus:
@@ -27,8 +30,8 @@ class InfraBus:
     def __init__(self, secret: AsSecret) -> None:
         self._aead = EtmScheme(secret.infra_enc)
         self._mac = Cmac(secret.infra_mac)
-        self._host_subscribers: list[HostDatabase] = []
-        self._revocation_subscribers: list[RevocationList] = []
+        self._host_subscribers: list[ColumnarHostDatabase] = []
+        self._revocation_subscribers: list[ColumnarRevocationList] = []
         self._listeners: list[Callable[[str, bytes], None]] = []
         self._seq = 0
         self.updates_sent = 0
@@ -36,10 +39,10 @@ class InfraBus:
 
     # -- subscription --
 
-    def subscribe_hostdb(self, db: HostDatabase) -> None:
+    def subscribe_hostdb(self, db: ColumnarHostDatabase) -> None:
         self._host_subscribers.append(db)
 
-    def subscribe_revocations(self, revocations: RevocationList) -> None:
+    def subscribe_revocations(self, revocations: ColumnarRevocationList) -> None:
         self._revocation_subscribers.append(revocations)
 
     def tap(self, listener: Callable[[str, bytes], None]) -> None:

@@ -13,7 +13,7 @@ EphID (Section IV-C's attack discussion).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..crypto.aead import EtmScheme
 from ..crypto.rng import Rng, SystemRng
@@ -21,9 +21,11 @@ from .certs import EphIdCertificate
 from .config import ApnaConfig
 from .ephid import EphIdCodec, IvAllocator
 from .errors import EphIdError, IssuanceError
-from .hostdb import HostDatabase
 from .keys import AsKeyMaterial
 from .messages import EphIdReply, EphIdRequest
+
+if TYPE_CHECKING:
+    from ..state.columns import ColumnarHostDatabase
 
 
 class ManagementService:
@@ -35,7 +37,7 @@ class ManagementService:
         keys: AsKeyMaterial,
         codec: EphIdCodec,
         ivs: IvAllocator,
-        hostdb: HostDatabase,
+        hostdb: ColumnarHostDatabase,
         clock: Callable[[], float],
         config: ApnaConfig,
         rng: Rng | None = None,

@@ -8,7 +8,7 @@ signed id_info plus the MS and DNS service certificates (m2).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..crypto.kdf import hmac_sha256
 from ..crypto.rng import Rng, SystemRng
@@ -17,10 +17,13 @@ from .certs import EphIdCertificate
 from .config import ApnaConfig
 from .ephid import EphIdCodec, IvAllocator
 from .errors import AuthError
-from .hostdb import HostDatabase, HostRecord
+from .hostdb import HostRecord
 from .infrabus import InfraBus
 from .keys import AsKeyMaterial, as_host_dh
 from .messages import BootstrapReply, BootstrapRequest, IdInfo, InfraUpdate
+
+if TYPE_CHECKING:
+    from ..state.columns import ColumnarHostDatabase
 
 
 def credential_proof(subscriber_secret: bytes, host_public: bytes) -> bytes:
@@ -42,7 +45,7 @@ class RegistryService:
         keys: AsKeyMaterial,
         codec: EphIdCodec,
         ivs: IvAllocator,
-        hostdb: HostDatabase,
+        hostdb: ColumnarHostDatabase,
         bus: InfraBus,
         clock: Callable[[], float],
         config: ApnaConfig,

@@ -7,6 +7,11 @@ Section VIII-G2 describes the two control mechanisms implemented here:
   the expiry check anyway, so keeping them is pure overhead), and
 * a host that accumulates too many revocations has its HID revoked
   outright, invalidating all of its EphIDs at once.
+
+:class:`RevocationPolicy` is the threshold the accountability agent
+runs.  :class:`RevocationList` is the test reference model for the list
+the routers actually hold, :class:`repro.state.ColumnarRevocationList`;
+no AS builds one.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from typing import Callable
 
 
 class RevocationList:
-    """The ``revoked_ids`` set with expiry-based pruning.
+    """The ``revoked_ids`` set with expiry-based pruning, as a set plus
+    a heap: the reference model for
+    :class:`repro.state.ColumnarRevocationList`.
 
     ``add`` and ``contains`` are O(log n) / O(1); ``prune`` pops every
     entry whose EphID has expired.  With pruning disabled the list grows

@@ -5,16 +5,18 @@ The paper proposes two mechanisms to keep the border routers'
 ("the expired EphIDs can be removed"), and (2) revoke the HID of a host
 that accumulates too many revocations.  This experiment drives a
 revocation churn workload and measures list growth with and without
-pruning, plus the HID-escalation behaviour.
+pruning on :class:`~repro.state.ColumnarRevocationList`, the list the
+border routers hold, plus the HID-escalation behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.revocation import RevocationList, RevocationPolicy
+from ..core.revocation import RevocationPolicy
 from ..crypto.rng import DeterministicRng
 from ..metrics import format_table
+from ..state import ColumnarRevocationList
 from .common import print_header
 
 
@@ -46,8 +48,8 @@ def run(
     quiet: bool = False,
 ) -> E6Result:
     rng = DeterministicRng(66)
-    pruned = RevocationList(auto_prune=True)
-    unpruned = RevocationList(auto_prune=False)
+    pruned = ColumnarRevocationList(auto_prune=True)
+    unpruned = ColumnarRevocationList(auto_prune=False)
     policy = RevocationPolicy(threshold)
 
     times: list[float] = []

@@ -513,20 +513,20 @@ class ShardedDataPlane:
         replay_bits: int = 1 << 20,
         start_method: "str | None" = None,
         supervision: "SupervisorPolicy | None" = None,
-        state_backend: str = "object",
     ) -> "ShardedDataPlane":
         """Build a pool from explicit AS parts (shared keys, sharded state).
 
-        ``hostdb`` / ``revocations`` are snapshotted into the worker
-        specs — as encoded :class:`repro.state.ShardSnapshot` columns,
-        the same bytes a later ``MSG_RESYNC`` would carry; later changes
-        propagate only through
+        ``hostdb`` / ``revocations`` are the AS's
+        :class:`repro.state.ColumnarHostDatabase` /
+        :class:`repro.state.ColumnarRevocationList`, snapshotted into the
+        worker specs as encoded :class:`repro.state.ShardSnapshot`
+        columns — the same bytes a later ``MSG_RESYNC`` would carry;
+        later changes propagate only through
         :meth:`register_host` / :meth:`revoke_ephid` / :meth:`revoke_hid`
         (the AS assembly wires those to its database hooks).  They are
         also retained as the *authoritative* state source: a restarted
         worker is resynced from them, and the degraded in-process
-        fallback reads them directly.  ``state_backend`` picks the
-        workers' replica store (``"columnar"`` / ``"object"``).
+        fallback reads them directly.
         """
         if plan is None:
             if nshards > 1:
@@ -562,7 +562,6 @@ class ShardedDataPlane:
                     shard_block=plan.block,
                     routing_mode=plan.mode,
                     routing_key=plan.key or b"",
-                    state_backend=state_backend,
                     snapshot=snap.encode(),
                 )
             )
@@ -629,7 +628,6 @@ class ShardedDataPlane:
             replay_bits=config.replay_filter_bits,
             start_method=start_method,
             supervision=SupervisorPolicy.from_config(config),
-            state_backend=config.state_backend,
         )
 
     # -- fault injection ----------------------------------------------------

@@ -10,10 +10,11 @@ asks for a record, and reads/writes through to the columns.  Service
 HIDs (below ``FIRST_HOST_HID``, a handful per AS) keep their real
 :class:`~repro.core.hostdb.HostRecord` objects.
 
-Duck-type compatible with :class:`~repro.core.hostdb.HostDatabase`
-(``allocate_hid``/``register``/``get``/``is_valid``/``revoke_hid``/
-``find_by_subscriber``/``records``/``on_register``/``on_revoke_hid``/
-``__len__``/``total_registered``), plus two bulk entry points:
+The AS's ``host_info`` store (``allocate_hid``/``register``/``get``/
+``is_valid``/``revoke_hid``/``find_by_subscriber``/``records``/
+``on_register``/``on_revoke_hid``/``__len__``/``total_registered``);
+:class:`~repro.core.hostdb.HostDatabase` is the per-record reference
+model tests hold it to.  Two bulk entry points:
 ``bulk_register`` admits a population from one keystream blob, and
 ``shard_columns`` slices the columns per shard for the snapshot codec
 (numpy-gathered when available).
@@ -114,7 +115,7 @@ class ColumnarHostDatabase:
         self._issued = array("I")
         self._erevoked = array("I")
         #: Service endpoints (hid < FIRST_HOST_HID) keep real records;
-        #: insertion order first in ``records()``, like the object store.
+        #: insertion order first in ``records()``, like the reference model.
         self._services: dict[int, HostRecord] = {}
         self._by_subscriber: dict[int, int] = {}
         self._next_hid = FIRST_HOST_HID
@@ -135,7 +136,7 @@ class ColumnarHostDatabase:
         self._issued.frombytes(bytes(4 * grow))
         self._erevoked.frombytes(bytes(4 * grow))
 
-    # -- HostDatabase duck API ---------------------------------------------
+    # -- host_info API -----------------------------------------------------
 
     def allocate_hid(self) -> int:
         """Assign a fresh, never-reused HID."""

@@ -1,10 +1,12 @@
 """Columnar ``revoked_ids``: packed expiry/EphID columns, dict membership.
 
-Drop-in duck type for :class:`~repro.core.revocation.RevocationList`
-(``add``/``contains``/``prune``/``maybe_prune``/``snapshot``/``on_add``)
-that stores entries as an ``array('d')`` expiry column plus one pooled
-16-byte-per-row EphID blob instead of a ``set[bytes]`` + tuple heap, and
-adds two bulk entry points the snapshot codec uses:
+The revocation list every AS and every shard worker holds
+(``add``/``contains``/``prune``/``maybe_prune``/``snapshot``/``on_add``).
+Entries live in an ``array('d')`` expiry column plus one pooled
+16-byte-per-row EphID blob instead of a ``set[bytes]`` + tuple heap;
+:class:`~repro.core.revocation.RevocationList` is the per-record
+reference model tests hold it to.  Two bulk entry points serve the
+snapshot codec:
 ``packed_snapshot()`` emits the columns as big-endian wire bytes and
 ``load_packed()`` ingests them without per-entry ``add`` calls.
 """

@@ -203,7 +203,7 @@ class ShardSnapshot:
 
     @classmethod
     def from_rows(cls, owned_rows, live_hids, revoked_entries) -> "ShardSnapshot":
-        """Build from per-record rows (the object-backend path).
+        """Build from per-record rows.
 
         ``owned_rows`` is an iterable of ``(hid, control, packet_mac,
         revoked)``, ``live_hids`` of ints, ``revoked_entries`` of
@@ -227,7 +227,7 @@ class ShardSnapshot:
             rev_ephids=b"".join(ephid for ephid, _ in entries),
         )
 
-    # -- row iteration (the object-backend consumption path) ---------------
+    # -- row iteration -----------------------------------------------------
 
     def iter_owned(self):
         """Yield ``(hid, control, packet_mac, revoked)`` per owned row."""
@@ -256,41 +256,13 @@ class ShardSnapshot:
 
 
 def build_shard_snapshot(hostdb, revocations, plan, shard: int) -> ShardSnapshot:
-    """One shard's snapshot from the authoritative AS state.
-
-    Dispatches to the columnar fast paths when the store provides them
-    (``hostdb.shard_columns`` / ``revocations.packed_snapshot``) and
-    falls back to per-record iteration for the object-backed stores, so
-    the supervisor and the pool builder never care which backend an AS
-    runs.
-    """
-    columns = getattr(hostdb, "shard_columns", None)
-    if columns is not None:
-        owned_hids, owned_flags, owned_keys, live_hids = columns(plan, shard)
-    else:
-        hids = []
-        flags = bytearray()
-        keys = []
-        live = []
-        for record in hostdb.records():
-            if not record.revoked:
-                live.append(record.hid)
-            if plan.owner_of(record.hid) == shard:
-                hids.append(record.hid)
-                flags.append(1 if record.revoked else 0)
-                keys.append(record.keys.control)
-                keys.append(record.keys.packet_mac)
-        owned_hids = pack_u32s(hids)
-        owned_flags = bytes(flags)
-        owned_keys = b"".join(keys)
-        live_hids = pack_u32s(live)
-    packed = getattr(revocations, "packed_snapshot", None)
-    if packed is not None:
-        rev_exp, rev_ephids = packed()
-    else:
-        entries = revocations.snapshot()
-        rev_exp = pack_f64s(exp for _, exp in entries)
-        rev_ephids = b"".join(ephid for ephid, _ in entries)
+    """One shard's snapshot from the authoritative AS state: the
+    :class:`~repro.state.ColumnarHostDatabase` shard slice plus the
+    :class:`~repro.state.ColumnarRevocationList` columns."""
+    owned_hids, owned_flags, owned_keys, live_hids = hostdb.shard_columns(
+        plan, shard
+    )
+    rev_exp, rev_ephids = revocations.packed_snapshot()
     return ShardSnapshot(
         owned_hids=owned_hids,
         owned_flags=owned_flags,

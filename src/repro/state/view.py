@@ -1,10 +1,13 @@
 """Columnar shard host view: the worker-process side of the columns.
 
-Duck-type compatible with :class:`~repro.sharding.worker.ShardHostView`
-(``add_owned``/``set_live``/``revoke``/``is_valid``/``get``/
-``owned_count``), but backed by dense columns instead of per-host
-dicts.  A shard owns the HID blocks ``blk % nshards == shard`` of the
-dense row space, so its owned rows compact to their own dense index::
+A worker's slice of ``host_info``: ``get`` answers only for HIDs this
+shard owns (the router fetches MAC keys only for source hosts, which
+the IV-pinned routing guarantees are local), while ``is_valid`` answers
+from the replicated live-HID view, so destination-side checks work for
+hosts any shard owns.  ``add_owned``/``set_live``/``revoke`` apply the
+supervisor's control frames.  A shard owns the HID blocks
+``blk % nshards == shard`` of the dense row space, so its owned rows
+compact to their own dense index::
 
     row  = hid - FIRST_HOST_HID
     blk, off = divmod(row, block)          # owned iff blk % nshards == shard
@@ -88,7 +91,7 @@ class ColumnarShardView:
         if grow > 0:
             self._live += bytes(grow)
 
-    # -- ShardHostView duck API --------------------------------------------
+    # -- the router's host_info surface + control-frame updates ------------
 
     def add_owned(
         self, hid: int, control: bytes, packet_mac: bytes, *, revoked: bool = False

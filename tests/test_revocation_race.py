@@ -8,35 +8,30 @@ verification time** — an in-flight packet carrying a just-revoked
 EphID drops with ``SRC_REVOKED`` no matter when it was made, and the
 cut-over is exact at the packet where the revocation interleaved.
 
-Both crypto backends × both state backends: the columnar
-``ColumnarRevocationList`` must be race-indistinguishable from the
-object-store original.
+Both crypto backends, over the AS's ``ColumnarRevocationList``.
 """
 
 import pytest
 
 from repro.core.border_router import Action, BorderRouter, DropReason
-from repro.core.config import ApnaConfig
 from repro.crypto import backend as crypto_backend
 from repro.wire.apna import Endpoint
 
 from tests.conftest import build_world
 
 BACKENDS = crypto_backend.available_backends()
-STATE_BACKENDS = ("object", "columnar")
 
 FAR_FUTURE = 1e12
 
 
-@pytest.fixture(
-    params=[(c, s) for c in BACKENDS for s in STATE_BACKENDS],
-    ids=lambda p: f"{p[0]}-{p[1]}",
-)
+#: Ids keep the ``-columnar`` store suffix they had when the matrix also
+#: ran a second store, so results stay keyed by the same test names.
+@pytest.fixture(params=BACKENDS, ids=lambda crypto: f"{crypto}-columnar")
 def race_world(request):
-    """One world per crypto-backend × state-backend combination."""
-    crypto, state_backend = request.param
+    """One world per crypto backend."""
+    crypto = request.param
     with crypto_backend.use_backend(crypto):
-        world = build_world(config=ApnaConfig(state_backend=state_backend))
+        world = build_world()
         world.crypto_backend = crypto
     return world
 

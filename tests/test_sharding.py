@@ -20,12 +20,12 @@ from repro.core.hostdb import FIRST_HOST_HID
 from repro.crypto import backend as crypto_backend_module
 from repro.sharding import (
     ShardError,
-    ShardHostView,
     ShardPlan,
     ShardedDataPlane,
     split_requests,
 )
 from repro.sharding import wire
+from repro.state import ColumnarShardView
 from repro.topology import WorldBuilder
 from repro.workload import TrafficProfile
 from repro.workload.packets import build_apna_pool
@@ -270,23 +270,28 @@ class TestWireCodecs:
         assert wire.decode_stats(wire.encode_stats(counters)) == counters
 
 
-class TestShardHostView:
+class TestShardView:
+    """Shard 0 of 2 owns even host rows; odd rows belong to shard 1."""
+
+    OWNED = FIRST_HOST_HID
+    FOREIGN = FIRST_HOST_HID + 1
+
     def test_owned_vs_replicated_split(self):
-        view = ShardHostView()
-        view.add_owned(10, b"c" * 16, b"m" * 16)
-        view.set_live(11)
-        assert view.is_valid(10) and view.is_valid(11)
-        assert view.get(10).keys.packet_mac == b"m" * 16
+        view = ColumnarShardView(shard=0, nshards=2)
+        view.add_owned(self.OWNED, b"c" * 16, b"m" * 16)
+        view.set_live(self.FOREIGN)
+        assert view.is_valid(self.OWNED) and view.is_valid(self.FOREIGN)
+        assert view.get(self.OWNED).keys.packet_mac == b"m" * 16
         with pytest.raises(UnknownHostError):
-            view.get(11)  # liveness replicated, keys not owned here
+            view.get(self.FOREIGN)  # liveness replicated, keys not owned here
 
     def test_revoke(self):
-        view = ShardHostView()
-        view.add_owned(10, b"c" * 16, b"m" * 16)
-        view.revoke(10)
-        assert not view.is_valid(10)
+        view = ColumnarShardView(shard=0, nshards=2)
+        view.add_owned(self.OWNED, b"c" * 16, b"m" * 16)
+        view.revoke(self.OWNED)
+        assert not view.is_valid(self.OWNED)
         with pytest.raises(RevokedError):
-            view.get(10)
+            view.get(self.OWNED)
 
 
 def build_sharded_world(*, seed=21, hosts=4, batch_size=8, shards=TIER1_SHARDS):

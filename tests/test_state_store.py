@@ -1,29 +1,32 @@
-"""The repro.state columnar stores vs. the original object stores.
+"""The repro.state columnar stores vs. the per-record reference models.
 
-The contract (see :mod:`repro.state`): ``ColumnarHostDatabase`` /
-``ColumnarRevocationList`` / ``ColumnarShardView`` are drop-in duck
-types for the object-backed stores — same results, same error types and
-messages, same observable ordering — and the :class:`ShardSnapshot`
-codec produces bit-identical bytes from either backend, so a worker
-resynced over ``MSG_RESYNC`` ends up in the same state no matter which
-pair of backends sits on either side of the pipe.
+The contract (see :mod:`repro.state`): ``ColumnarHostDatabase`` and
+``ColumnarRevocationList`` answer exactly like the reference models
+:class:`~repro.core.hostdb.HostDatabase` and
+:class:`~repro.core.revocation.RevocationList` — same results, same
+error types and messages, same observable ordering.  The
+:class:`ShardSnapshot` a columnar AS exports is bit-identical to one
+built row by row from the reference models, and a worker resynced from
+it over ``MSG_RESYNC`` answers exactly what the snapshot's rows say.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.core.errors import RevokedError, UnknownHostError
-from repro.core.hostdb import FIRST_HOST_HID, HostRecord
+from repro.core.hostdb import FIRST_HOST_HID, HostDatabase, HostRecord
 from repro.core.keys import HostAsKeys
+from repro.core.revocation import RevocationList
 from repro.sharding import wire
 from repro.sharding.plan import ShardPlan
-from repro.sharding.worker import ShardHostView, ShardSpec, ShardState
+from repro.sharding.worker import ShardSpec, ShardState
 from repro.state import (
+    ColumnarHostDatabase,
     ColumnarRevocationList,
     ColumnarShardView,
     ShardSnapshot,
     build_shard_snapshot,
-    make_host_database,
-    make_revocation_list,
     population_key_material,
 )
 from repro.state.snapshot import pack_f64s, pack_u32s
@@ -44,7 +47,7 @@ def _outcome(fn):
 
 
 def _describe(record):
-    """A backend-neutral view of a host record/row proxy."""
+    """A store-neutral view of a host record/row proxy."""
     if record is None:
         return None
     return (
@@ -83,7 +86,8 @@ def _assert_same_db(obj, col, hids, subscribers):
 
 
 class TestHostDatabaseDifferential:
-    """Identical op sequences leave both backends observably identical."""
+    """Identical op sequences leave the columnar store and the reference
+    model observably identical."""
 
     def _populate(self, db, hosts=8):
         for i, hid in enumerate(SERVICE_HIDS):
@@ -98,8 +102,8 @@ class TestHostDatabaseDifferential:
         return hids
 
     def test_register_get_revoke_parity(self):
-        obj = make_host_database("object")
-        col = make_host_database("columnar")
+        obj = HostDatabase()
+        col = ColumnarHostDatabase()
         obj_hids = self._populate(obj)
         col_hids = self._populate(col)
         assert obj_hids == col_hids == list(
@@ -136,8 +140,8 @@ class TestHostDatabaseDifferential:
         assert obj.allocate_hid() == col.allocate_hid()
 
     def test_pre_revoked_registration_parity(self):
-        obj = make_host_database("object")
-        col = make_host_database("columnar")
+        obj = HostDatabase()
+        col = ColumnarHostDatabase()
         for db in (obj, col):
             hid = db.allocate_hid()
             db.register(
@@ -149,9 +153,9 @@ class TestHostDatabaseDifferential:
 
     def test_direct_mutation_heals_identically(self):
         """``record.revoked = True`` bypasses ``revoke_hid``; after the
-        ``find_by_subscriber`` heal both backends agree on everything."""
-        obj = make_host_database("object")
-        col = make_host_database("columnar")
+        ``find_by_subscriber`` heal both stores agree on everything."""
+        obj = HostDatabase()
+        col = ColumnarHostDatabase()
         self._populate(obj)
         self._populate(col)
         for db in (obj, col):
@@ -168,8 +172,8 @@ class TestHostDatabaseDifferential:
         assert len(obj) == len(col)
 
     def test_counter_write_through_parity(self):
-        obj = make_host_database("object")
-        col = make_host_database("columnar")
+        obj = HostDatabase()
+        col = ColumnarHostDatabase()
         self._populate(obj, hosts=2)
         self._populate(col, hosts=2)
         for db in (obj, col):
@@ -181,26 +185,20 @@ class TestHostDatabaseDifferential:
         )
 
     def test_hooks_fire_identically(self):
-        events = {"object": [], "columnar": []}
-        for backend in ("object", "columnar"):
-            db = make_host_database(backend)
-            log = events[backend]
+        events = []
+        for db in (HostDatabase(), ColumnarHostDatabase()):
+            log = []
             db.on_register = lambda record, log=log: log.append(
                 ("reg", record.hid)
             )
             db.on_revoke_hid = lambda hid, log=log: log.append(("rev", hid))
             self._populate(db, hosts=3)
             db.revoke_hid(FIRST_HOST_HID + 1)
-        assert events["object"] == events["columnar"]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown state backend"):
-            make_host_database("bogus")
-        with pytest.raises(ValueError, match="unknown state backend"):
-            make_revocation_list("bogus")
+            events.append(log)
+        assert events[0] == events[1]
 
     def test_columnar_rejects_short_keys(self):
-        col = make_host_database("columnar")
+        col = ColumnarHostDatabase()
         with pytest.raises(ValueError, match="16 bytes"):
             col.register(
                 HostRecord(
@@ -210,7 +208,7 @@ class TestHostDatabaseDifferential:
             )
 
     def test_bulk_register_validation(self):
-        col = make_host_database("columnar")
+        col = ColumnarHostDatabase()
         with pytest.raises(ValueError, match="count must be at least 1"):
             col.bulk_register(0, b"")
         with pytest.raises(ValueError, match="key material is"):
@@ -218,10 +216,10 @@ class TestHostDatabaseDifferential:
 
     def test_bulk_register_matches_per_record_loop(self):
         material = population_key_material(b"bulk-parity", 40)
-        col = make_host_database("columnar")
+        col = ColumnarHostDatabase()
         first = col.bulk_register(40, material)
         assert first == FIRST_HOST_HID
-        obj = make_host_database("object")
+        obj = HostDatabase()
         for i in range(40):
             base = 32 * i
             obj.register(
@@ -239,7 +237,7 @@ class TestHostDatabaseDifferential:
     def test_bulk_register_after_explicit_rows(self):
         """The non-dense-tail path: explicit registrations past _next_hid
         force per-row writes with collision checks."""
-        col = make_host_database("columnar")
+        col = ColumnarHostDatabase()
         hid0 = col.allocate_hid()
         col.register(HostRecord(hid=hid0 + 2, keys=_keys(1)))  # out of order
         col.register(HostRecord(hid=hid0, keys=_keys(2)))
@@ -252,18 +250,18 @@ class TestHostDatabaseDifferential:
 
 class TestRevocationListDifferential:
     def test_lifecycle_parity(self):
-        obj = make_revocation_list("object")
-        col = make_revocation_list("columnar")
+        obj = RevocationList()
+        col = ColumnarRevocationList()
         observed = {}
-        for name, lst in (("object", obj), ("columnar", col)):
+        for name, lst in (("reference", obj), ("columnar", col)):
             calls = []
             lst.on_add = lambda e, t, calls=calls: calls.append((e, t))
             for i in range(10):
                 lst.add(i.to_bytes(16, "big"), 50.0 + 10 * i)
             lst.add((3).to_bytes(16, "big"), 999.0)  # duplicate: ignored
             observed[name] = calls
-        assert observed["object"] == observed["columnar"]
-        assert len(observed["object"]) == 10
+        assert observed["reference"] == observed["columnar"]
+        assert len(observed["reference"]) == 10
         for lst in (obj, col):
             assert len(lst) == 10
             assert lst.total_added == 10
@@ -277,8 +275,8 @@ class TestRevocationListDifferential:
             assert (0).to_bytes(16, "big") in lst
 
     def test_auto_prune_off_parity(self):
-        obj = make_revocation_list("object", auto_prune=False)
-        col = make_revocation_list("columnar", auto_prune=False)
+        obj = RevocationList(auto_prune=False)
+        col = ColumnarRevocationList(auto_prune=False)
         for lst in (obj, col):
             lst.add(b"\x01" * 16, 10.0)
             assert lst.maybe_prune(100.0) == 0
@@ -368,42 +366,74 @@ class TestShardSnapshotCodec:
             )
 
 
-def _authoritative(backend: str, hosts: int = 240):
-    """An AS-state pair (hostdb, revocations) with services, a metro-style
-    bulk population, some revoked HIDs and a revocation replica —
-    byte-identical content whichever backend holds it."""
-    db = make_host_database(backend)
+#: The revocation replica both authoritative states carry.  Increasing
+#: expiries keep the reference model's heap in insertion order, so both
+#: stores emit identical snapshot columns.
+REVOKED = [(i.to_bytes(16, "big"), 1_000.0 + i) for i in range(12)]
+
+
+def _authoritative(hosts: int = 240):
+    """The AS state pair (hostdb, revocations): services, a metro-style
+    bulk population, some revoked HIDs and a revocation replica."""
+    db = ColumnarHostDatabase()
     for i, hid in enumerate(SERVICE_HIDS):
         db.register(HostRecord(hid=hid, keys=_keys(100 + i)))
     material = population_key_material(b"metro-resync", hosts)
-    if backend == "columnar":
-        first = db.bulk_register(hosts, material)
-    else:
-        first = None
-        for i in range(hosts):
-            hid = db.allocate_hid()
-            first = hid if first is None else first
-            base = 32 * i
-            db.register(
-                HostRecord(
-                    hid=hid,
-                    keys=HostAsKeys(
-                        control=material[base : base + 16],
-                        packet_mac=material[base + 16 : base + 32],
-                    ),
-                )
-            )
+    first = db.bulk_register(hosts, material)
     for offset in range(0, hosts, 17):
         db.revoke_hid(first + offset)
-    rev = make_revocation_list(backend)
-    for i in range(12):
-        # Increasing expiries keep the object store's heap in insertion
-        # order, so both backends emit identical snapshot columns.
-        rev.add(i.to_bytes(16, "big"), 1_000.0 + i)
+    rev = ColumnarRevocationList()
+    for ephid, exp_time in REVOKED:
+        rev.add(ephid, exp_time)
     return db, rev
 
 
-def _shard_spec(plan, shard, state_backend, snapshot=b""):
+def _reference(hosts: int = 240):
+    """The same AS state, registered record by record in the reference
+    models."""
+    db = HostDatabase()
+    for i, hid in enumerate(SERVICE_HIDS):
+        db.register(HostRecord(hid=hid, keys=_keys(100 + i)))
+    material = population_key_material(b"metro-resync", hosts)
+    hids = []
+    for i in range(hosts):
+        base = 32 * i
+        hids.append(db.allocate_hid())
+        db.register(
+            HostRecord(
+                hid=hids[-1],
+                keys=HostAsKeys(
+                    control=material[base : base + 16],
+                    packet_mac=material[base + 16 : base + 32],
+                ),
+            )
+        )
+    for offset in range(0, hosts, 17):
+        db.revoke_hid(hids[offset])
+    rev = RevocationList()
+    for ephid, exp_time in REVOKED:
+        rev.add(ephid, exp_time)
+    return db, rev
+
+
+def _reference_snapshot(db, rev, plan, shard):
+    """One shard's snapshot, built row by row from the reference models."""
+    records = list(db.records())
+    snap = ShardSnapshot.from_rows(
+        (
+            (r.hid, r.keys.control, r.keys.packet_mac, r.revoked)
+            for r in records
+            if plan.owner_of(r.hid) == shard
+        ),
+        [r.hid for r in records if not r.revoked],
+        rev.snapshot(),
+    )
+    return dataclasses.replace(
+        snap, routing_mode=plan.mode, routing_key=plan.key or b""
+    )
+
+
+def _shard_spec(plan, shard, snapshot=b""):
     return ShardSpec(
         shard=shard,
         nshards=plan.nshards,
@@ -418,122 +448,72 @@ def _shard_spec(plan, shard, state_backend, snapshot=b""):
         shard_block=plan.block,
         routing_mode=plan.mode,
         routing_key=plan.key or b"",
-        state_backend=state_backend,
         snapshot=snapshot,
     )
 
 
 class TestMetroResyncRoundTrip:
-    """The ISSUE's scaled-down metro resync property: a snapshot built
-    from either authoritative backend, shipped as a ``MSG_RESYNC`` frame,
-    rebuilds bit-identical worker state on either worker backend."""
+    """The scaled-down metro resync property: the snapshot a columnar AS
+    exports equals the reference models' snapshot bit for bit, and a
+    worker resynced from it over ``MSG_RESYNC`` answers exactly what the
+    snapshot's rows say."""
 
     @pytest.mark.parametrize("plan", [ShardPlan(3), ShardPlan(2, block=4)])
     def test_snapshot_to_resync_to_worker_view(self, plan):
-        obj_db, obj_rev = _authoritative("object")
-        col_db, col_rev = _authoritative("columnar")
-        all_hids = list(SERVICE_HIDS) + [
-            record.hid for record in col_db.records() if record.hid >= FIRST_HOST_HID
-        ]
+        col_db, col_rev = _authoritative()
+        ref_db, ref_rev = _reference()
+        all_hids = [record.hid for record in ref_db.records()]
+        all_hids.append(max(all_hids) + 1)  # never registered
         for shard in range(plan.nshards):
             snap = build_shard_snapshot(col_db, col_rev, plan, shard)
-            # Bit-identity of the wire image across authoritative backends.
+            # Bit-identity of the wire image with the reference rows.
             assert (
                 snap.encode()
-                == build_shard_snapshot(obj_db, obj_rev, plan, shard).encode()
+                == _reference_snapshot(ref_db, ref_rev, plan, shard).encode()
             )
-            states = {}
-            for state_backend in ("object", "columnar"):
-                state = ShardState(_shard_spec(plan, shard, state_backend))
-                assert state.hosts.owned_count == 0
-                ack = state.handle_resync(wire.encode_resync(snap))
-                assert wire.decode_resync_ack(ack) == (
-                    snap.owned_count,
-                    snap.revoked_count,
-                )
-                assert state.hosts.owned_count == snap.owned_count
-                states[state_backend] = state
-            obj_state, col_state = states["object"], states["columnar"]
-            for hid, control, packet_mac, revoked in snap.iter_owned():
-                for state in states.values():
-                    if revoked:
-                        with pytest.raises(RevokedError):
-                            state.hosts.get(hid)
-                    else:
-                        record = state.hosts.get(hid)
-                        assert record.keys.control == control
-                        assert record.keys.packet_mac == packet_mac
+            state = ShardState(_shard_spec(plan, shard))
+            assert state.hosts.owned_count == 0
+            ack = state.handle_resync(wire.encode_resync(snap))
+            assert wire.decode_resync_ack(ack) == (
+                snap.owned_count,
+                snap.revoked_count,
+            )
+            assert state.hosts.owned_count == snap.owned_count
+            live = set(snap.iter_live())
+            owned = {
+                hid: (HostAsKeys(control, packet_mac), revoked)
+                for hid, control, packet_mac, revoked in snap.iter_owned()
+            }
             for hid in all_hids:
-                assert obj_state.hosts.is_valid(hid) == col_state.hosts.is_valid(
-                    hid
-                ), hid
-                if plan.owner_of(hid) != shard:
+                assert state.hosts.is_valid(hid) == (hid in live), hid
+                if hid not in owned:
+                    # Another shard's HIDs, and the unregistered one.
                     with pytest.raises(UnknownHostError):
-                        col_state.hosts.get(hid)
-                    with pytest.raises(UnknownHostError):
-                        obj_state.hosts.get(hid)
-            assert (
-                len(obj_state.revocations)
-                == len(col_state.revocations)
-                == snap.revoked_count
-            )
+                        state.hosts.get(hid)
+                elif owned[hid][1]:
+                    with pytest.raises(RevokedError):
+                        state.hosts.get(hid)
+                else:
+                    assert state.hosts.get(hid).keys == owned[hid][0]
+            assert len(state.revocations) == snap.revoked_count
             for ephid, _exp in snap.iter_revoked():
-                assert obj_state.revocations.contains(ephid)
-                assert col_state.revocations.contains(ephid)
+                assert state.revocations.contains(ephid)
 
     def test_spawn_snapshot_equals_resync_snapshot(self):
         """The ShardSpec-embedded bytes and the MSG_RESYNC payload are the
         same serialisation: spawning from one equals resyncing the other."""
         plan = ShardPlan(2)
-        col_db, col_rev = _authoritative("columnar", hosts=60)
+        col_db, col_rev = _authoritative(hosts=60)
         snap = build_shard_snapshot(col_db, col_rev, plan, 1)
-        for state_backend in ("object", "columnar"):
-            spawned = ShardState(
-                _shard_spec(plan, 1, state_backend, snapshot=snap.encode())
-            )
-            resynced = ShardState(_shard_spec(plan, 1, state_backend))
-            resynced.handle_resync(wire.encode_resync(snap))
-            assert spawned.hosts.owned_count == resynced.hosts.owned_count
-            for hid, _c, _m, revoked in snap.iter_owned():
-                if revoked:
-                    continue
-                assert (
-                    spawned.hosts.get(hid).keys == resynced.hosts.get(hid).keys
-                )
-            assert len(spawned.revocations) == len(resynced.revocations)
-
-
-class TestKeyInterning:
-    def test_add_owned_interns_equal_keys(self):
-        view = ShardHostView()
-        control, mac = b"\x07" * 16, b"\x08" * 16
-        view.add_owned(FIRST_HOST_HID, control, mac)
-        # Equal-valued but distinct bytes objects, as each decoded resync
-        # frame produces.
-        view.add_owned(
-            FIRST_HOST_HID + 1, bytes(bytearray(control)), bytes(bytearray(mac))
-        )
-        first = view.get(FIRST_HOST_HID).keys
-        second = view.get(FIRST_HOST_HID + 1).keys
-        assert second.control is first.control
-        assert second.packet_mac is first.packet_mac
-
-    def test_resync_reuses_previous_incarnation_keys(self):
-        """Satellite guarantee: a worker that resyncs re-interns the
-        re-shipped kHA subkeys against the pool its previous view built,
-        so repeated resyncs don't duplicate 32 B per host."""
-        plan = ShardPlan(2)
-        col_db, col_rev = _authoritative("columnar", hosts=40)
-        snap = build_shard_snapshot(col_db, col_rev, plan, 1)
-        state = ShardState(_shard_spec(plan, 1, "object", snapshot=snap.encode()))
-        hid = next(
-            hid for hid, _c, _m, revoked in snap.iter_owned() if not revoked
-        )
-        before = state.hosts.get(hid).keys
-        state.handle_resync(wire.encode_resync(snap))
-        after = state.hosts.get(hid).keys
-        assert after.control is before.control
-        assert after.packet_mac is before.packet_mac
+        spawned = ShardState(_shard_spec(plan, 1, snapshot=snap.encode()))
+        resynced = ShardState(_shard_spec(plan, 1))
+        resynced.handle_resync(wire.encode_resync(snap))
+        assert spawned.hosts.owned_count == resynced.hosts.owned_count
+        for hid, _c, _m, revoked in snap.iter_owned():
+            if revoked:
+                continue
+            assert spawned.hosts.get(hid).keys == resynced.hosts.get(hid).keys
+        assert len(spawned.revocations) == len(resynced.revocations)
 
 
 class TestColumnarShardView:
